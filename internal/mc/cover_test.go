@@ -20,6 +20,15 @@ func TestNewPoolClampsNegativeHelpers(t *testing.T) {
 	nilPool.Close() // must not panic
 }
 
+func TestPoolCloseIdempotent(t *testing.T) {
+	p := NewPool(2)
+	p.Close()
+	p.Close() // a second Close is a no-op, not a panic
+	if got := p.Workers(); got != 3 {
+		t.Fatalf("Workers() = %d after Close, want 3", got)
+	}
+}
+
 func TestDefaultPool(t *testing.T) {
 	old := defaultPool.Swap(nil)
 	defer func() {

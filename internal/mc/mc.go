@@ -30,6 +30,7 @@ import (
 type Pool struct {
 	jobs    chan func()
 	helpers int
+	close   sync.Once
 }
 
 // NewPool starts a pool with the given number of helper goroutines
@@ -59,11 +60,12 @@ func (p *Pool) Workers() int {
 	return p.helpers + 1
 }
 
-// Close stops the helper goroutines. The pool must not be used after
-// Close; Do on a closed pool panics.
+// Close stops the helper goroutines. Closing an already closed pool is
+// a no-op. The pool must not be used after Close; Do on a closed pool
+// panics.
 func (p *Pool) Close() {
 	if p != nil && p.helpers > 0 {
-		close(p.jobs)
+		p.close.Do(func() { close(p.jobs) })
 	}
 }
 

@@ -104,14 +104,15 @@ func (r *Rank) Scan(bytes int64) {
 		return
 	}
 	for round, mask := 0, 1; mask < p; round, mask = round+1, mask*2 {
-		var req *Request
-		if r.id-mask >= 0 {
+		var req Request
+		recv := r.id-mask >= 0
+		if recv {
 			req = r.IRecv(r.id-mask, r.collTag(round))
 		}
 		if r.id+mask < p {
 			r.Send(r.id+mask, r.collTag(round), bytes)
 		}
-		if req != nil {
+		if recv {
 			req.Wait()
 			r.reduceCost(bytes)
 		}

@@ -84,24 +84,26 @@ func (o Options) withDefaults() Options {
 
 // Comm is a communicator: P ranks bound to the nodes of one machine.
 type Comm struct {
-	mach       *machine.Machine
-	opts       Options
-	ranks      []*Rank
-	nextSendID int64
-	sendOps    map[int64]*sendOp
-	finished   int
-	errs       []error
+	mach     *machine.Machine
+	opts     Options
+	ranks    []Rank
+	fn       func(r *Rank)
+	finished int
+	errs     []error
+	// free holds the communicator's recycled message objects (see
+	// pool.go); a drained Start hands them on to the next Comm.
+	free *freeLists
 }
 
 // NewComm returns a communicator spanning all nodes of m.
 func NewComm(m *machine.Machine, opts Options) *Comm {
 	c := &Comm{
-		mach:    m,
-		opts:    opts.withDefaults(),
-		sendOps: make(map[int64]*sendOp),
+		mach:  m,
+		opts:  opts.withDefaults(),
+		ranks: make([]Rank, m.Ranks()),
 	}
-	for i := 0; i < m.Ranks(); i++ {
-		c.ranks = append(c.ranks, &Rank{comm: c, id: i})
+	for i := range c.ranks {
+		c.ranks[i] = Rank{comm: c, id: i}
 	}
 	if c.opts.Trace != nil {
 		fmt.Fprintln(c.opts.Trace, "time_s,src,dst,tag,bytes,protocol")
@@ -125,7 +127,7 @@ func (c *Comm) Size() int { return len(c.ranks) }
 func (c *Comm) Machine() *machine.Machine { return c.mach }
 
 // Rank returns rank i (for inspecting stats after a run).
-func (c *Comm) Rank(i int) *Rank { return c.ranks[i] }
+func (c *Comm) Rank(i int) *Rank { return &c.ranks[i] }
 
 // Run executes fn SPMD-style on every rank and drives the simulation to
 // completion. It returns the virtual time at which the last rank
@@ -141,28 +143,28 @@ func Run(m *machine.Machine, opts Options, fn func(r *Rank)) (sim.Time, error) {
 // per-rank statistics.
 func (c *Comm) Start(fn func(r *Rank)) (sim.Time, error) {
 	k := c.mach.Kernel()
-	for _, r := range c.ranks {
-		r := r
-		r.proc = k.Go(func(p *sim.Proc) {
-			defer func() {
-				if e := recover(); e != nil {
-					c.errs = append(c.errs, fmt.Errorf("msg: rank %d panicked: %v", r.id, e))
-				}
-				r.finished = true
-				c.finished++
-			}()
-			fn(r)
-		})
+	c.fn = fn
+	if c.free == nil {
+		c.free = spareLists.Get().(*freeLists)
+	}
+	body := c.runRank
+	for i := range c.ranks {
+		c.ranks[i].proc = k.Go(body)
 	}
 	end := k.Run()
+	if k.Pending() == 0 {
+		// Drained: no event can reach a free object any more.
+		spareLists.Put(c.free)
+		c.free = nil
+	}
 	if len(c.errs) > 0 {
 		return end, c.errs[0]
 	}
 	if c.finished != len(c.ranks) {
 		var stuck []int
-		for _, r := range c.ranks {
-			if !r.finished {
-				stuck = append(stuck, r.id)
+		for i := range c.ranks {
+			if !c.ranks[i].finished {
+				stuck = append(stuck, i)
 			}
 		}
 		return end, fmt.Errorf("msg: deadlock: %d/%d ranks never finished (stuck: %v)", len(stuck), len(c.ranks), stuck)
@@ -170,12 +172,17 @@ func (c *Comm) Start(fn func(r *Rank)) (sim.Time, error) {
 	return end, nil
 }
 
-// sendOp tracks one rendezvous send from RTS to payload completion.
-type sendOp struct {
-	id       int64
-	src, dst int
-	tag      int
-	bytes    int64
-	req      *Request // sender's request
-	recvReq  *Request // receiver's matched request (set at CTS time)
+// runRank is every rank's proc body. Start spawns the rank procs in rank
+// order and the kernel numbers procs consecutively, so the proc ID
+// locates the rank without a closure per rank.
+func (c *Comm) runRank(p *sim.Proc) {
+	r := &c.ranks[p.ID()-c.ranks[0].proc.ID()]
+	defer func() {
+		if e := recover(); e != nil {
+			c.errs = append(c.errs, fmt.Errorf("msg: rank %d panicked: %v", r.id, e))
+		}
+		r.finished = true
+		c.finished++
+	}()
+	c.fn(r)
 }

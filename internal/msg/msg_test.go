@@ -221,18 +221,16 @@ func TestWaitAll(t *testing.T) {
 	m := gigE(t, 2)
 	_, err := Run(m, Options{}, func(r *Rank) {
 		if r.ID() == 0 {
-			reqs := []*Request{
+			reqs := []Request{
 				r.ISend(1, 0, 100),
 				r.ISend(1, 1, 200),
 				r.ISend(1, 2, 300),
 			}
 			WaitAll(reqs...)
 		} else {
-			a := r.IRecv(0, 2)
-			b := r.IRecv(0, 1)
-			c := r.IRecv(0, 0)
-			WaitAll(a, b, c)
-			if a.bytes != 300 || b.bytes != 200 || c.bytes != 100 {
+			reqs := []Request{r.IRecv(0, 2), r.IRecv(0, 1), r.IRecv(0, 0)}
+			WaitAll(reqs...)
+			if reqs[0].Wait() != 300 || reqs[1].Wait() != 200 || reqs[2].Wait() != 100 {
 				panic("wrong sizes")
 			}
 		}
@@ -559,7 +557,7 @@ func TestRandomTrafficConservationProperty(t *testing.T) {
 		}
 		received := 0
 		_, err = Run(m, Options{}, func(r *Rank) {
-			var reqs []*Request
+			var reqs []Request
 			for _, mp := range plan {
 				if mp.dst == r.ID() {
 					reqs = append(reqs, r.IRecv(mp.src, AnyTag))
@@ -583,8 +581,12 @@ func TestRandomTrafficConservationProperty(t *testing.T) {
 }
 
 func BenchmarkAllreduce64(b *testing.B) {
+	// One machine, reset between runs, so the loop measures msg and not
+	// machine construction.
+	m := testMachine(b, 64, network.InfiniBand4X())
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m := testMachine(b, 64, network.InfiniBand4X())
+		m.Reset()
 		if _, err := Run(m, Options{}, func(r *Rank) { r.Allreduce(65536) }); err != nil {
 			b.Fatal(err)
 		}
@@ -609,6 +611,13 @@ func TestMessageTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
+	const want = "time_s,src,dst,tag,bytes,protocol\n" +
+		"0.000000000,0,1,7,100,eager\n" +
+		"0.000015000,0,1,8,1048576,rendezvous\n" +
+		"0.009687509,0,0,9,50,local\n"
+	if out != want {
+		t.Errorf("trace =\n%s\nwant\n%s", out, want)
+	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if lines[0] != "time_s,src,dst,tag,bytes,protocol" {
 		t.Fatalf("header = %q", lines[0])

@@ -200,15 +200,29 @@ func OpticalCircuit() Preset {
 
 // Presets returns all built-in presets in ascending-capability order.
 func Presets() []Preset {
-	return []Preset{FastEthernet(), GigabitEthernet(), Myrinet2000(), QsNet(), InfiniBand4X(), OpticalCircuit()}
+	ps := make([]Preset, len(presetCtors))
+	for i, mk := range presetCtors {
+		ps[i] = mk()
+	}
+	return ps
 }
+
+// presetCtors builds the built-in presets, in Presets order.
+var presetCtors = [...]func() Preset{FastEthernet, GigabitEthernet, Myrinet2000, QsNet, InfiniBand4X, OpticalCircuit}
+
+// presetByName indexes presetCtors by preset name.
+var presetByName = func() map[string]func() Preset {
+	m := make(map[string]func() Preset, len(presetCtors))
+	for _, mk := range presetCtors {
+		m[mk().Name] = mk
+	}
+	return m
+}()
 
 // PresetByName returns the built-in preset with the given name.
 func PresetByName(name string) (Preset, error) {
-	for _, p := range Presets() {
-		if p.Name == name {
-			return p, nil
-		}
+	if mk, ok := presetByName[name]; ok {
+		return mk(), nil
 	}
 	return Preset{}, fmt.Errorf("network: unknown preset %q", name)
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -38,6 +39,18 @@ func TestPresetByName(t *testing.T) {
 	}
 	if _, err := PresetByName("token-ring"); err == nil {
 		t.Fatal("unknown preset did not error")
+	}
+}
+
+func TestPresetByNameFindsEveryPreset(t *testing.T) {
+	for _, want := range Presets() {
+		got, err := PresetByName(want.Name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("PresetByName(%q) = %+v, %v; want %+v", want.Name, got, err, want)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { PresetByName("gigabit-ethernet") }); a != 0 {
+		t.Fatalf("PresetByName allocates %.0f times, want 0", a)
 	}
 }
 

@@ -144,25 +144,62 @@ func TestWormholeCreditsConserved(t *testing.T) {
 		if l.credits != 3 {
 			t.Fatalf("link %d ends with %d credits, want 3", i, l.credits)
 		}
-		if l.busy || len(l.waiting) != 0 {
+		if l.busy || l.waiting.len() != 0 || l.onWire.len() != 0 {
 			t.Fatalf("link %d not quiescent", i)
 		}
 	}
 }
 
-func BenchmarkWormholeAlltoall(b *testing.B) {
-	p := InfiniBand4X()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := sim.New(1)
-		wh := NewWormholeNet(k, p, topology.FatTree(4, 2), 4)
-		for s := 0; s < 16; s++ {
-			for d := 0; d < 16; d++ {
-				if s != d {
-					wh.Send(s, d, 16<<10, nil, nil)
-				}
+// wormholeAlltoall builds a 16-endpoint fat tree and runs one 16 KiB
+// all-to-all over it.
+func wormholeAlltoall() {
+	k := sim.New(1)
+	wh := NewWormholeNet(k, InfiniBand4X(), topology.FatTree(4, 2), 4)
+	for s := 0; s < 16; s++ {
+		for d := 0; d < 16; d++ {
+			if s != d {
+				wh.Send(s, d, 16<<10, nil, nil)
 			}
 		}
+	}
+	k.Run()
+}
+
+func BenchmarkWormholeAlltoall(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		wormholeAlltoall()
+	}
+}
+
+func TestWormholeAlltoallAllocs(t *testing.T) {
+	// 23,428 allocations per all-to-all when every packet and hop
+	// allocated its own closures; the bound is 10% of that. What is left
+	// is building the kernel, topology routes and fabric, and warming
+	// their pools.
+	if a := testing.AllocsPerRun(5, wormholeAlltoall); a > 2342 {
+		t.Fatalf("wormhole all-to-all allocates %.0f times, want <= 2342", a)
+	}
+}
+
+func TestWormholeSteadyStateAllocFree(t *testing.T) {
+	// On a reused fabric the send path allocates nothing.
+	k := sim.New(1)
+	wh := NewWormholeNet(k, Myrinet2000(), topology.FatTree(4, 2), 2)
+	delivered := 0
+	onDelivered := func() { delivered++ }
+	round := func() {
+		for s := 0; s < 16; s++ {
+			wh.Send(s, (s+5)%16, 40<<10, nil, onDelivered)
+		}
 		k.Run()
+	}
+	round()
+	round()
+	if a := testing.AllocsPerRun(10, round); a != 0 {
+		t.Fatalf("steady-state wormhole round allocates %.0f times, want 0", a)
+	}
+	if delivered != 13*16 {
+		t.Fatalf("delivered %d messages, want %d", delivered, 13*16)
 	}
 }

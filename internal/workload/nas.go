@@ -54,7 +54,7 @@ func (m MG) Run(r *msg.Rank) {
 	peers := []int{neighbor(-1, 0), neighbor(1, 0), neighbor(0, -1), neighbor(0, 1)}
 	const elem = 8
 	exchange := func(lx, ly, tag int) {
-		var reqs []*msg.Request
+		var reqs []msg.Request
 		sizes := []int64{int64(ly * elem), int64(ly * elem), int64(lx * elem), int64(lx * elem)}
 		for i, peer := range peers {
 			if peer >= 0 {

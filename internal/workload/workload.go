@@ -161,7 +161,7 @@ func (s Stencil2D) Run(r *msg.Rank) {
 		}
 	}
 	for it := 0; it < s.Iters; it++ {
-		var reqs []*msg.Request
+		var reqs []msg.Request
 		for _, e := range peers {
 			reqs = append(reqs, r.IRecv(e.peer, it))
 		}
