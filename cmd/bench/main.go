@@ -13,9 +13,7 @@
 //	bench -o out.json          # write somewhere else ("-" for stdout)
 //
 // Wall-clock numbers are host-dependent; the committed file records the
-// reference container. The seed block is the pre-optimization baseline
-// (PR 1: container/heap kernel, sequential-only runner) measured on that
-// same container, kept for before/after comparison.
+// reference container.
 package main
 
 import (
@@ -43,16 +41,14 @@ import (
 	"northstar/internal/topology"
 )
 
-// benchSchema is the report schema version. v7 added the queue section
-// (event-queue backend comparison: heap vs calendar ns/event and
-// allocs/event under uniform, same-time-heavy, and bimodal scheduling
-// distributions at 1e4 and 1e6 pending) and rebased the long-pole
-// baseline to the committed v6 numbers. v6 added the serve section
-// (scenario-service load: cached vs uncached qps and latency
-// percentiles, `bench -serve`).
-const benchSchema = "northstar-bench/v7"
+// benchSchema is the report schema version. v8 dropped the queue and
+// seed_baseline sections (the kernel has one event queue; the seed
+// figures live in CHANGES.md). v7 rebased the long-pole baseline to the
+// committed v6 numbers. v6 added the serve section (scenario-service
+// load: cached vs uncached qps and latency percentiles, `bench -serve`).
+const benchSchema = "northstar-bench/v8"
 
-// Report is the schema of BENCH_runner.json (northstar-bench/v7; the
+// Report is the schema of BENCH_runner.json (northstar-bench/v8; the
 // schema is documented in EXPERIMENTS.md). Kernel is the unobserved
 // (nil-probe) hot path; KernelProbed repeats the measurement with an
 // obs.KernelProbe attached, pinning the enabled-observability overhead
@@ -60,10 +56,9 @@ const benchSchema = "northstar-bench/v7"
 // FabricProbed make the same nil-vs-attached claim for the model-level
 // domain probe on a packet-fabric send chain (`bench -probeguard`
 // holds the gap under 10%). Memory records bytes/node for machine+topology
-// builds at growing scale — the budget ROADMAP item 2 tracks. Queue
-// races the kernel's two event-queue backends (heap vs calendar) under
-// the scheduling distributions that separate them. Shards measures the
-// Monte Carlo shard engine on the suite's slowest replication loop.
+// builds at growing scale — the budget ROADMAP item 2 tracks. Shards
+// measures the Monte Carlo shard engine on the suite's slowest
+// replication loop.
 // LongPoles records the long-pole attack (committed v6 baseline vs this
 // run) — see LongPoleDelta.
 type Report struct {
@@ -75,40 +70,10 @@ type Report struct {
 	Fabric       KernelRes     `json:"fabric"`
 	FabricProbed KernelRes     `json:"fabric_probed"`
 	Memory       MemoryRes     `json:"memory"`
-	Queue        QueueRes      `json:"queue"`
 	Suite        SuiteRes      `json:"suite"`
 	Shards       ShardRes      `json:"shard_scaling"`
 	Serve        ServeRes      `json:"serve"`
 	LongPoles    LongPoleDelta `json:"long_pole_delta"`
-	Seed         *SeedRef      `json:"seed_baseline,omitempty"`
-}
-
-// QueueRes races the kernel's event-queue backends head to head: the
-// same steady-state churn (every fired event reschedules itself, so
-// depth stays constant) runs once on the 4-ary heap and once on the
-// calendar queue, per scheduling distribution and pending depth. The
-// distributions are the ones that separate the backends: uniform offsets
-// (the generic case), same-time-heavy (64 discrete slots, the
-// synchronized-collective shape where sorted-run appends shine), and
-// bimodal near/far (a dense working set plus far timers, the shape that
-// exercises the calendar's overflow heap and window slide). Depths 1e4
-// and 1e6 bracket the suite's kernels and the 10^5-10^6-node goal.
-type QueueRes struct {
-	Points []QueuePoint `json:"points"`
-}
-
-// QueuePoint is one distribution x depth comparison. Events counts fired
-// events in the measured phase (after a warm-up that lets the calendar's
-// arena and window ratchet to the workload); speedup is heap/calendar.
-type QueuePoint struct {
-	Distribution       string  `json:"distribution"`
-	Pending            int     `json:"pending"`
-	Events             int     `json:"events"`
-	HeapNsPerEvent     float64 `json:"heap_ns_per_event"`
-	CalNsPerEvent      float64 `json:"calendar_ns_per_event"`
-	HeapAllocsPerEvent float64 `json:"heap_allocs_per_event"`
-	CalAllocsPerEvent  float64 `json:"calendar_allocs_per_event"`
-	Speedup            float64 `json:"calendar_speedup"`
 }
 
 // MemoryRes reports heap cost per simulated node for machine builds at
@@ -173,7 +138,7 @@ type LongPole struct {
 
 // LongPoleDelta records the long-pole optimization campaign: for each
 // targeted spec, the sequential seconds measured at the committed v6
-// baseline (post order-statistics/shared-oracle, pre calendar-queue,
+// baseline (post order-statistics/shared-oracle, pre v7 kernel work,
 // reference container) against this run's spec_seconds, plus the
 // suite-wide before/after and the sequential-time budget the CI guard
 // enforces (`bench -guard`).
@@ -194,10 +159,10 @@ type PoleDelta struct {
 }
 
 // poleBaseline is the committed northstar-bench/v6 spec_seconds for the
-// five tail poles of the calendar-queue campaign, measured on the
+// five tail poles of the v7 long-pole campaign, measured on the
 // reference container after the order-statistics/shared-oracle/
-// machine-reuse work but before the calendar-queue kernel backend,
-// coroutine proc delivery, and per-shard probe hoisting.
+// machine-reuse work but before the v7 kernel work, coroutine proc
+// delivery, and per-shard probe hoisting. The guard checks these poles.
 // suiteBaselineSeconds is that report's full sequential suite time;
 // suiteBudgetSeconds is the post-campaign budget the guard holds the
 // suite to.
@@ -235,25 +200,6 @@ type ShardPoint struct {
 	Speedup  float64 `json:"speedup_vs_shards1"`
 }
 
-// SeedRef is the fixed pre-optimization baseline for before/after
-// comparison, measured on the reference container at PR 1.
-type SeedRef struct {
-	Note           string  `json:"note"`
-	NsPerEvent     float64 `json:"kernel_ns_per_event"`
-	AllocsPerEvent float64 `json:"kernel_allocs_per_event"`
-	BytesPerEvent  float64 `json:"kernel_bytes_per_event"`
-	SuiteSeconds   float64 `json:"suite_full_sequential_seconds"`
-}
-
-var seedBaseline = SeedRef{
-	Note: "seed kernel (container/heap, pointer events, no pooling) + " +
-		"sequential-only runner, reference container (1 CPU)",
-	NsPerEvent:     79.5,
-	AllocsPerEvent: 1,
-	BytesPerEvent:  24,
-	SuiteSeconds:   7.63,
-}
-
 func main() {
 	events := flag.Int("events", 2_000_000, "kernel benchmark event count")
 	quick := flag.Bool("quick", false, "run the suite at CI scale")
@@ -288,7 +234,6 @@ func main() {
 			CPUs:       runtime.NumCPU(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 		},
-		Seed: &seedBaseline,
 	}
 
 	fmt.Fprintf(os.Stderr, "bench: kernel throughput (%d events, nil probe)...\n", *events)
@@ -312,13 +257,6 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "bench: machine memory footprint (bytes/node)...\n")
 	rep.Memory = benchMemory()
-
-	fmt.Fprintf(os.Stderr, "bench: event-queue backends (heap vs calendar)...\n")
-	rep.Queue = benchQueue()
-	for _, pt := range rep.Queue.Points {
-		fmt.Fprintf(os.Stderr, "bench:   %-16s pending=%-8d heap %6.1f ns/ev  calendar %6.1f ns/ev (%.2fx, %.2f allocs/ev)\n",
-			pt.Distribution, pt.Pending, pt.HeapNsPerEvent, pt.CalNsPerEvent, pt.Speedup, pt.CalAllocsPerEvent)
-	}
 
 	workers := *par
 	if workers <= 0 {
@@ -461,110 +399,6 @@ func benchFabric(sends int, probe network.Probe) KernelRes {
 		AllocsPerEvent: round3(float64(after.Mallocs-before.Mallocs) / float64(sends)),
 		BytesPerEvent:  round3(float64(after.TotalAlloc-before.TotalAlloc) / float64(sends)),
 	}
-}
-
-// benchQueue measures the queue section: for each scheduling
-// distribution and pending depth, the same churn workload (fixed depth,
-// every fire reschedules) runs on a heap-pinned and a calendar-pinned
-// kernel. Offsets draw from a horizon of 1 virtual microsecond per
-// pending event, so depth scales density the way a growing machine does
-// rather than just packing the same interval tighter.
-func benchQueue() QueueRes {
-	type dist struct {
-		name string
-		draw func(rng *rand.Rand, horizon sim.Time) sim.Time
-	}
-	dists := []dist{
-		{"uniform", func(rng *rand.Rand, h sim.Time) sim.Time {
-			return sim.Time(rng.Float64()) * h
-		}},
-		{"same_time_heavy", func(rng *rand.Rand, h sim.Time) sim.Time {
-			// 64 discrete slots: thousands of events share each exact
-			// timestamp, the shape of synchronized collectives.
-			return sim.Time(rng.Intn(64)+1) * (h / 64)
-		}},
-		{"bimodal", func(rng *rand.Rand, h sim.Time) sim.Time {
-			// Dense near cluster plus a far tail (checkpoint/MTBF-style
-			// timers): exercises the overflow heap and window slide.
-			if rng.Float64() < 0.8 {
-				return sim.Time(rng.Float64()) * (h / 10)
-			}
-			return h + sim.Time(rng.Float64())*h
-		}},
-	}
-	var res QueueRes
-	for _, d := range dists {
-		for _, pending := range []int{10_000, 1_000_000} {
-			horizon := sim.Time(pending) * sim.Microsecond
-			churn := 4 * pending
-			if churn < 1_000_000 {
-				churn = 1_000_000
-			}
-			if churn > 2_000_000 {
-				churn = 2_000_000
-			}
-			draw := func(rng *rand.Rand) sim.Time { return d.draw(rng, horizon) }
-			hNs, hAllocs := measureQueue(sim.QueueHeap, pending, churn, draw)
-			cNs, cAllocs := measureQueue(sim.QueueCalendar, pending, churn, draw)
-			pt := QueuePoint{
-				Distribution:       d.name,
-				Pending:            pending,
-				Events:             churn,
-				HeapNsPerEvent:     hNs,
-				CalNsPerEvent:      cNs,
-				HeapAllocsPerEvent: hAllocs,
-				CalAllocsPerEvent:  cAllocs,
-			}
-			if cNs > 0 {
-				pt.Speedup = round3(hNs / cNs)
-			}
-			res.Points = append(res.Points, pt)
-		}
-	}
-	return res
-}
-
-// measureQueue runs one backend through the churn workload: fill to the
-// target depth, warm up with a quarter of the churn (capacity ratchets,
-// window shaping), then measure ns and allocs per fired event over the
-// full churn with memstats deltas, best of three passes (the minimum is
-// the pass least perturbed by host scheduling noise, which on a shared
-// container dwarfs the backend gap this section measures). Every fire
-// reschedules before a possible Stop, so the depth is exactly `pending`
-// throughout.
-func measureQueue(kind sim.QueueKind, pending, churn int, draw func(*rand.Rand) sim.Time) (nsPerEvent, allocsPerEvent float64) {
-	k := sim.NewOnQueue(1, kind)
-	rng := rand.New(rand.NewSource(7))
-	fired, target := 0, 0
-	var fn func()
-	fn = func() {
-		fired++
-		k.After(draw(rng), fn)
-		if fired >= target {
-			k.Stop()
-		}
-	}
-	for i := 0; i < pending; i++ {
-		k.After(draw(rng), fn)
-	}
-	target = churn / 4
-	k.Run()
-
-	bestNs, allocs := math.Inf(1), 0.0
-	for rep := 0; rep < 3; rep++ {
-		fired, target = 0, churn
-		var before, after runtime.MemStats
-		readMem(&before)
-		start := time.Now()
-		k.Run()
-		elapsed := time.Since(start)
-		readMem(&after)
-		if ns := float64(elapsed.Nanoseconds()) / float64(churn); ns < bestNs {
-			bestNs = ns
-		}
-		allocs = float64(after.Mallocs-before.Mallocs) / float64(churn)
-	}
-	return round3(bestNs), round3(allocs)
 }
 
 // benchMemory measures settled heap growth per simulated node for
@@ -774,7 +608,7 @@ func benchShards() ShardRes {
 // sequential breakdown against the hardcoded v3 baseline.
 func poleDelta(suiteSeconds float64, specSeconds map[string]float64) LongPoleDelta {
 	d := LongPoleDelta{
-		Baseline: "northstar-bench/v6 (pre calendar-queue / coroutine procs / " +
+		Baseline: "northstar-bench/v6 (pre v7 kernel work / coroutine procs / " +
 			"per-shard probe hoisting), reference container",
 		SuiteBudgetSeconds: suiteBudgetSeconds,
 		SuiteBefore:        suiteBaselineSeconds,
@@ -802,13 +636,14 @@ func printDelta(w io.Writer, d LongPoleDelta) {
 		"suite", d.SuiteBefore, d.SuiteAfter, d.SuiteBudgetSeconds)
 }
 
+// guardRuns is how many sequential suite passes the guard measures; it
+// compares per-spec medians and the median suite time, so one pass
+// disturbed by host noise cannot fail it on its own.
+const guardRuns = 3
+
 // runGuard is the CI regression guard: it measures only the sequential
-// spec breakdown (the cheap part of the full report), loads the
-// committed report, and fails if any targeted long pole regressed by
-// more than 25% against the committed spec_seconds or the suite's
-// sequential wall clock exceeds the committed budget. Wall-clock numbers
-// are host-dependent, so the 25% margin plus the absolute budget — not
-// equality — is the contract.
+// spec breakdown (the cheap part of the full report) guardRuns times,
+// loads the committed report, and fails with guardVerdict's findings.
 func runGuard(baselinePath string) int {
 	committed, err := loadReport(baselinePath)
 	if err != nil {
@@ -820,33 +655,66 @@ func runGuard(baselinePath string) int {
 		budget = suiteBudgetSeconds
 	}
 
-	fmt.Fprintf(os.Stderr, "bench: guard: suite sequential (full scale, observed)...\n")
-	start := time.Now()
-	specSeconds, _ := benchSpecBreakdown(false)
-	suiteSeconds := round3(time.Since(start).Seconds())
+	runs := make([]map[string]float64, guardRuns)
+	suites := make([]float64, guardRuns)
+	for r := range runs {
+		fmt.Fprintf(os.Stderr, "bench: guard: suite sequential (full scale, observed), pass %d/%d...\n", r+1, guardRuns)
+		start := time.Now()
+		runs[r], _ = benchSpecBreakdown(false)
+		suites[r] = round3(time.Since(start).Seconds())
+	}
+	specSeconds := make(map[string]float64, len(runs[0]))
+	for id := range runs[0] {
+		vals := make([]float64, guardRuns)
+		for r := range runs {
+			vals[r] = runs[r][id]
+		}
+		specSeconds[id] = median(vals)
+	}
+	suiteSeconds := median(suites)
 
 	printDelta(os.Stderr, poleDelta(suiteSeconds, specSeconds))
-	failed := false
+	failures := guardVerdict(committed.Suite.SpecSeconds, specSeconds, suiteSeconds, budget)
+	for _, f := range failures {
+		fmt.Fprintf(os.Stderr, "bench: guard: %s\n", f)
+	}
+	if len(failures) > 0 {
+		return 1
+	}
+	fmt.Fprintf(os.Stderr, "bench: guard: ok (median suite %.3f s within %.1f s budget, long poles within 25%% of committed)\n",
+		suiteSeconds, budget)
+	return 0
+}
+
+// guardVerdict judges measured seconds against the committed report: a
+// long pole (poleBaseline) fails if it is more than 25% slower than its
+// committed spec_seconds, and the suite fails if it exceeds budget.
+// Wall-clock numbers are host-dependent, so the 25% margin plus the
+// absolute budget — not equality — is the contract. It returns one
+// message per failure; none means the guard passes.
+func guardVerdict(committed, measured map[string]float64, suiteSeconds, budget float64) []string {
+	var failures []string
 	for _, p := range poleBaseline {
-		was := committed.Suite.SpecSeconds[p.ID]
-		now := specSeconds[p.ID]
+		was, now := committed[p.ID], measured[p.ID]
 		if was > 0 && now > was*1.25 {
-			fmt.Fprintf(os.Stderr, "bench: guard: %s regressed: %.3f s vs committed %.3f s (>25%%)\n",
-				p.ID, now, was)
-			failed = true
+			failures = append(failures, fmt.Sprintf("%s regressed: %.3f s vs committed %.3f s (>25%%)", p.ID, now, was))
 		}
 	}
 	if suiteSeconds > budget {
-		fmt.Fprintf(os.Stderr, "bench: guard: suite sequential %.3f s exceeds budget %.1f s\n",
-			suiteSeconds, budget)
-		failed = true
+		failures = append(failures, fmt.Sprintf("suite sequential %.3f s exceeds budget %.1f s", suiteSeconds, budget))
 	}
-	if failed {
-		return 1
+	return failures
+}
+
+// median returns the median of vals (the mean of the middle two for an
+// even count), sorting vals in place.
+func median(vals []float64) float64 {
+	sort.Float64s(vals)
+	n := len(vals)
+	if n%2 == 1 {
+		return vals[n/2]
 	}
-	fmt.Fprintf(os.Stderr, "bench: guard: ok (suite %.3f s within %.1f s budget, long poles within 25%% of committed)\n",
-		suiteSeconds, budget)
-	return 0
+	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
 // loadReport reads a committed bench report.

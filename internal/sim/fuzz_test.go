@@ -5,20 +5,9 @@ import (
 	"testing"
 )
 
-// opsResult is one backend's observable outcome of an op stream: the
-// payload fire order plus the kernel's final accounting. The differential
-// harness requires it to be identical on every queue backend.
-type opsResult struct {
-	fired   []int
-	count   uint64
-	pending int
-	final   Time
-}
-
-// runKernelOps drives one kernel — pinned to the given queue backend —
-// through the fuzzed op stream and checks it against a trivially correct
-// reference model: a flat slice of (time, scheduling-index) pairs sorted
-// stably. The kernel promises events fire in (time, seq) order with FIFO
+// runKernelOps drives one kernel through the fuzzed op stream and checks
+// it against a trivially correct reference model: a flat slice of (time,
+// scheduling-index) pairs sorted stably. The kernel promises events fire in (time, seq) order with FIFO
 // ties, cancelled events never fire, Cancel/Pending report the truth, and
 // the clock never runs backwards; any queue bug that breaks one of those
 // shows up as an order or bookkeeping diff.
@@ -31,15 +20,15 @@ type opsResult struct {
 //
 //	0, 1: schedule one payload arg microseconds out (near cluster)
 //	2:    schedule an 8-payload monotone burst at +arg..+arg+7 µs
-//	      (density — drives calendar bucket growth and the auto switch)
+//	      (density — deep heaps and long sift chains)
 //	3:    schedule one payload arg*16 milliseconds out (far tail —
-//	      bimodal with 0-2, drives calendar overflow and promotion)
+//	      bimodal with 0-2, spreads the heap across far timestamps)
 //	4, 5: cancel the arg-th payload (lazy deletion, compaction)
 //	6:    check the arg-th payload's Pending against the model
 //	7:    advance the driver clock arg microseconds
-func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
+func runKernelOps(t *testing.T, data []byte) {
 	t.Helper()
-	k := NewOnQueue(1, kind)
+	k := New(1)
 
 	type payload struct {
 		id        int
@@ -56,7 +45,7 @@ func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 		p := &payload{id: len(model), at: k.Now() + d}
 		p.h = k.After(d, func() {
 			if p.fired || p.cancelled {
-				t.Fatalf("[%v] payload %d fired twice or after cancel", kind, p.id)
+				t.Fatalf("payload %d fired twice or after cancel", p.id)
 			}
 			p.fired = true
 			fired = append(fired, p.id)
@@ -68,11 +57,11 @@ func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 	var step func()
 	step = func() {
 		if k.Now() < lastNow {
-			t.Fatalf("[%v] clock ran backwards: %v after %v", kind, k.Now(), lastNow)
+			t.Fatalf("clock ran backwards: %v after %v", k.Now(), lastNow)
 		}
 		lastNow = k.Now()
 		if live := k.Live(); live < 0 || live > k.Pending() {
-			t.Fatalf("[%v] Live() = %d outside [0, Pending()=%d]", kind, live, k.Pending())
+			t.Fatalf("Live() = %d outside [0, Pending()=%d]", live, k.Pending())
 		}
 		if i+1 >= len(data) {
 			return
@@ -87,7 +76,7 @@ func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 			for j := 0; j < 8; j++ {
 				schedule(Time(arg+j) * Microsecond)
 			}
-		case 3: // far tail: arg*16 ms out (calendar overflow territory)
+		case 3: // far tail: arg*16 ms out
 			schedule(Time(arg) * 16 * Millisecond)
 		case 4, 5: // cancel the arg-th payload; Cancel must tell the truth
 			if len(model) == 0 {
@@ -96,8 +85,8 @@ func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 			p := model[arg%len(model)]
 			want := !p.fired && !p.cancelled
 			if got := p.h.Cancel(); got != want {
-				t.Fatalf("[%v] payload %d: Cancel() = %v, model says %v (fired=%v cancelled=%v)",
-					kind, p.id, got, want, p.fired, p.cancelled)
+				t.Fatalf("payload %d: Cancel() = %v, model says %v (fired=%v cancelled=%v)",
+					p.id, got, want, p.fired, p.cancelled)
 			}
 			if want {
 				p.cancelled = true
@@ -108,7 +97,7 @@ func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 			}
 			p := model[arg%len(model)]
 			if want := !p.fired && !p.cancelled; p.h.Pending() != want {
-				t.Fatalf("[%v] payload %d: Pending() = %v, model says %v", kind, p.id, p.h.Pending(), want)
+				t.Fatalf("payload %d: Pending() = %v, model says %v", p.id, p.h.Pending(), want)
 			}
 		case 7: // advance the driver clock
 			next = Time(arg) * Microsecond
@@ -128,38 +117,45 @@ func runKernelOps(t *testing.T, data []byte, kind QueueKind) opsResult {
 	}
 	sort.SliceStable(want, func(a, b int) bool { return want[a].at < want[b].at })
 	if len(fired) != len(want) {
-		t.Fatalf("[%v] %d payloads fired, model expects %d", kind, len(fired), len(want))
+		t.Fatalf("%d payloads fired, model expects %d", len(fired), len(want))
 	}
 	for j, p := range want {
 		if fired[j] != p.id {
-			t.Fatalf("[%v] firing position %d: payload %d, model expects %d (at=%v)", kind, j, fired[j], p.id, p.at)
+			t.Fatalf("firing position %d: payload %d, model expects %d (at=%v)", j, fired[j], p.id, p.at)
 		}
 	}
 	if k.Pending() != 0 {
-		t.Fatalf("[%v] %d events still pending after Run drained everything", kind, k.Pending())
+		t.Fatalf("%d events still pending after Run drained everything", k.Pending())
 	}
 	if k.Live() != 0 {
-		t.Fatalf("[%v] Live() = %d after Run drained everything", kind, k.Live())
+		t.Fatalf("Live() = %d after Run drained everything", k.Live())
 	}
 	// A handle whose event fired or was cancelled must stay dead.
 	for _, p := range model {
 		if p.h.Pending() {
-			t.Fatalf("[%v] payload %d still Pending after the run", kind, p.id)
+			t.Fatalf("payload %d still Pending after the run", p.id)
 		}
 		if p.h.Cancel() {
-			t.Fatalf("[%v] payload %d: Cancel succeeded after the run", kind, p.id)
+			t.Fatalf("payload %d: Cancel succeeded after the run", p.id)
 		}
 	}
-	return opsResult{fired: fired, count: k.Fired(), pending: k.Pending(), final: final}
+	if want := uint64(len(fired)) + uint64(i/2) + 1; k.Fired() != want {
+		t.Fatalf("Fired() = %d, want %d payloads + %d driver steps", k.Fired(), len(fired), i/2+1)
+	}
+	wantFinal := lastNow
+	for _, p := range want {
+		if p.at > wantFinal {
+			wantFinal = p.at
+		}
+	}
+	if final != wantFinal {
+		t.Fatalf("Run returned %v, want the last event's time %v", final, wantFinal)
+	}
 }
 
-// FuzzKernelOps is the differential backend fuzz target: every op stream
-// runs on the pinned heap backend, the pinned calendar backend, and a
-// QueueAuto kernel (which may migrate mid-run), each checked against the
-// reference model — and then the three observable outcomes are required
-// to be bit-identical. The ordering contract is a total order on
-// (at, seq), so nothing about the backend may leak into fire order,
-// Fired/Pending accounting, or the final clock.
+// FuzzKernelOps runs every op stream on one kernel and checks it against
+// the reference model in runKernelOps: fire order, Cancel/Pending truth,
+// Fired/Pending/Live accounting and a clock that never runs backwards.
 func FuzzKernelOps(f *testing.F) {
 	// Seeds: pure same-time scheduling, a cancel-heavy stream (drives
 	// compaction), mixed deltas, time advances between bursts.
@@ -167,9 +163,7 @@ func FuzzKernelOps(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 3, 4, 0, 0, 2, 4, 1, 4, 2})
 	f.Add([]byte{0, 10, 7, 4, 0, 0, 7, 9, 2, 200, 4, 0, 6, 1})
 	f.Add([]byte{1, 1, 1, 1, 4, 0, 4, 1, 4, 2, 4, 3, 4, 4, 4, 5})
-	// Far-tail stream: 24 overflow-range events with a near cluster in
-	// between — exercises the calendar's overflow heap, the drain-time
-	// rebuild, and bulk promotion into a reshaped window.
+	// Far-tail stream: 24 far events with a near cluster in between.
 	far := []byte{}
 	for j := 0; j < 24; j++ {
 		far = append(far, 3, byte(7+j*11))
@@ -177,9 +171,7 @@ func FuzzKernelOps(f *testing.F) {
 	far = append(far, 0, 2, 0, 2, 7, 50)
 	f.Add(far)
 	// Density stream: ~70 monotone bursts (≈560 resident events) with
-	// sparse cancels — exercises the calendar's density-driven bucket
-	// resize and the QueueAuto heap-to-calendar migration, then drains
-	// through a far advance.
+	// sparse cancels, then drains through a far advance.
 	dense := []byte{}
 	for j := 0; j < 70; j++ {
 		dense = append(dense, 2, byte(j*3))
@@ -196,27 +188,6 @@ func FuzzKernelOps(f *testing.F) {
 		if len(data) > 512 {
 			data = data[:512] // bound per-input work
 		}
-		heap := runKernelOps(t, data, QueueHeap)
-		cal := runKernelOps(t, data, QueueCalendar)
-		auto := runKernelOps(t, data, QueueAuto)
-		for _, other := range []struct {
-			kind QueueKind
-			res  opsResult
-		}{{QueueCalendar, cal}, {QueueAuto, auto}} {
-			if len(other.res.fired) != len(heap.fired) {
-				t.Fatalf("%v fired %d payloads, heap fired %d", other.kind, len(other.res.fired), len(heap.fired))
-			}
-			for j := range heap.fired {
-				if other.res.fired[j] != heap.fired[j] {
-					t.Fatalf("%v diverged from heap at firing %d: payload %d vs %d",
-						other.kind, j, other.res.fired[j], heap.fired[j])
-				}
-			}
-			if other.res.count != heap.count || other.res.pending != heap.pending || other.res.final != heap.final {
-				t.Fatalf("%v accounting diverged from heap: fired %d/%d, pending %d/%d, final %v/%v",
-					other.kind, other.res.count, heap.count, other.res.pending, heap.pending,
-					other.res.final, heap.final)
-			}
-		}
+		runKernelOps(t, data)
 	})
 }

@@ -10,25 +10,21 @@
 // and all randomness flows from a caller-supplied seed. Two runs with the
 // same seed produce bit-identical event orderings, which keeps every
 // experiment in this repository reproducible. The ordering contract is a
-// total order on (at, seq) — it holds identically on every queue backend,
-// so the choice of backend never changes simulation output.
+// total order on (at, seq).
 //
 // Performance: the event queue is the hot path of every simulation, so it
-// avoids allocating on it. Scheduling pushes a value-type entry onto one of
-// two backends — a hand-rolled 4-ary min-heap for sparse schedules, or a
-// calendar queue (bucketed sliding time window, see queue_calendar.go) once
-// pending-event density makes heap sift chains the cost center — event
-// payloads are recycled through a free list, cancelled events are deleted
-// lazily with the queue compacted once dead entries outnumber live ones,
-// and events scheduled at the current virtual time — the dominant case for
-// process handoff — bypass the queue entirely via a FIFO.
+// avoids allocating on it. Scheduling pushes a value-type entry onto a
+// hand-rolled 4-ary min-heap (see queue_heap.go), event payloads are
+// recycled through a free list, cancelled events are deleted lazily with
+// the heap compacted once dead entries outnumber live ones, and events
+// scheduled at the current virtual time — the dominant case for process
+// handoff — bypass the heap entirely via a FIFO.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 )
 
 // Time is a point in virtual time, in seconds. Virtual time is unrelated
@@ -113,7 +109,7 @@ func (h Handle) Cancel() bool {
 	if k.probe != nil {
 		k.probe.EventCancelled(k.now, k.Live())
 	}
-	if !h.ev.inNow && k.dead*2 > k.qsize() && k.qsize() >= compactMin {
+	if !h.ev.inNow && k.dead*2 > k.q.size() && k.q.size() >= compactMin {
 		k.compactQueue()
 	}
 	return true
@@ -139,63 +135,6 @@ func entryLess(a, b entry) bool {
 // compaction kicks in; below it, lazy draining is cheap enough.
 const compactMin = 64
 
-// QueueKind selects the event-queue backend of a Kernel.
-type QueueKind uint8
-
-const (
-	// QueueAuto starts on the 4-ary heap and switches to the calendar
-	// queue once pending-event density crosses autoCalendarThreshold.
-	// This is the default: shallow schedules stay on the heap (where a
-	// wheel would be overhead), dense ones get bucketed pops.
-	QueueAuto QueueKind = iota
-	// QueueHeap pins the kernel to the 4-ary min-heap.
-	QueueHeap
-	// QueueCalendar pins the kernel to the calendar queue.
-	QueueCalendar
-)
-
-// String names the kind as accepted by ParseQueueKind.
-func (q QueueKind) String() string {
-	switch q {
-	case QueueHeap:
-		return "heap"
-	case QueueCalendar:
-		return "calendar"
-	default:
-		return "auto"
-	}
-}
-
-// ParseQueueKind parses "auto", "heap", or "calendar".
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch s {
-	case "auto":
-		return QueueAuto, nil
-	case "heap":
-		return QueueHeap, nil
-	case "calendar":
-		return QueueCalendar, nil
-	}
-	return QueueAuto, fmt.Errorf("sim: unknown queue kind %q (want auto, heap, or calendar)", s)
-}
-
-// autoCalendarThreshold is the pending-event count at which a QueueAuto
-// kernel migrates from the heap to the calendar queue. At this depth heap
-// sift chains span several cache-missing levels while the calendar's runs
-// stay short; below it the heap's simplicity wins.
-const autoCalendarThreshold = 1024
-
-// defaultQueue is the process-global QueueKind used by New. CI uses it
-// (via the -queue flag on cmd/experiments) to run the whole suite pinned
-// to one backend and prove the outputs byte-identical.
-var defaultQueue atomic.Uint32
-
-// SetDefaultQueue sets the backend New gives future kernels.
-func SetDefaultQueue(kind QueueKind) { defaultQueue.Store(uint32(kind)) }
-
-// DefaultQueue reports the backend New currently gives kernels.
-func DefaultQueue() QueueKind { return QueueKind(defaultQueue.Load()) }
-
 // Kernel is a discrete-event simulation engine. A Kernel is not safe for
 // concurrent use; all interaction must happen from the goroutine driving
 // Run (event handlers run on that goroutine, and Proc coroutines run only
@@ -203,14 +142,8 @@ func DefaultQueue() QueueKind { return QueueKind(defaultQueue.Load()) }
 type Kernel struct {
 	now Time
 
-	// Future-event queue: exactly one backend is active. onCal selects;
-	// qh is always non-nil, qc is built on first use. Dispatching on the
-	// concrete types keeps the dominant heap path inlineable.
-	qh      *heapQueue
-	qc      *calendarQueue
-	onCal   bool
-	kindCfg QueueKind
-	dead    int // cancelled future events still occupying queue slots
+	q    heapQueue // future events, ordered by (at, seq)
+	dead int       // cancelled future events still occupying heap slots
 
 	// nowq is the fast path for events scheduled at the current virtual
 	// time: they cannot be preceded by anything except earlier-scheduled
@@ -236,40 +169,16 @@ type Kernel struct {
 }
 
 // New returns a Kernel with its clock at zero and randomness seeded from
-// seed, on the process-default queue backend (QueueAuto unless
-// SetDefaultQueue changed it). The same seed yields an identical
-// simulation on any backend.
-func New(seed int64) *Kernel { return NewOnQueue(seed, DefaultQueue()) }
-
-// NewOnQueue is New with an explicit queue backend.
-func NewOnQueue(seed int64, kind QueueKind) *Kernel {
+// seed.
+func New(seed int64) *Kernel {
 	k := &Kernel{
-		seed:    seed,
-		rng:     rand.New(rand.NewSource(seed)),
-		qh:      &heapQueue{},
-		kindCfg: kind,
-	}
-	if kind == QueueCalendar {
-		k.qc = &calendarQueue{}
-		k.onCal = true
+		seed: seed,
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 	if h := kernelHook.Load(); h != nil {
 		(*h)(k)
 	}
 	return k
-}
-
-// QueueConfigured reports the backend this kernel was constructed with.
-func (k *Kernel) QueueConfigured() QueueKind { return k.kindCfg }
-
-// QueueActive reports the backend currently holding future events: for a
-// QueueAuto kernel this starts as QueueHeap and becomes QueueCalendar
-// after the density switch.
-func (k *Kernel) QueueActive() QueueKind {
-	if k.onCal {
-		return QueueCalendar
-	}
-	return QueueHeap
 }
 
 // Reset returns the kernel to the state New(seed) produced: clock at
@@ -280,19 +189,14 @@ func (k *Kernel) QueueActive() QueueKind {
 // aborting one (a Proc parked in Suspend would likewise outlive the
 // reset — finish or interrupt procs first). The event free list and
 // queue storage survive, so the reused kernel also skips its warm-up
-// allocations. A QueueAuto kernel drops back to the heap backend, like a
-// fresh kernel.
+// allocations.
 func (k *Kernel) Reset() {
 	k.drainDead()
 	if k.Pending() > 0 {
 		panic(fmt.Sprintf("sim: Reset with %d events still pending", k.Pending()))
 	}
 	k.now = 0
-	k.qh.reset()
-	if k.qc != nil {
-		k.qc.reset()
-	}
-	k.onCal = k.kindCfg == QueueCalendar
+	k.q.reset()
 	k.nowq = k.nowq[:0]
 	k.qhead = 0
 	k.dead = 0
@@ -316,69 +220,11 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 // Pending reports how many events are scheduled, including lazily
 // cancelled entries not yet drained. For queue-depth telemetry use Live,
 // which excludes them.
-func (k *Kernel) Pending() int { return k.qsize() + len(k.nowq) - k.qhead }
+func (k *Kernel) Pending() int { return k.q.size() + len(k.nowq) - k.qhead }
 
 // Live reports how many scheduled events will actually fire: Pending
 // minus entries cancelled but not yet drained from either queue.
 func (k *Kernel) Live() int { return k.Pending() - k.dead - k.nowDead }
-
-// ---- queue dispatch ----
-
-func (k *Kernel) qsize() int {
-	if k.onCal {
-		return k.qc.size()
-	}
-	return k.qh.size()
-}
-
-func (k *Kernel) qmin() *entry {
-	if k.onCal {
-		return k.qc.min()
-	}
-	return k.qh.min()
-}
-
-func (k *Kernel) qpop() entry {
-	if k.onCal {
-		return k.qc.pop()
-	}
-	return k.qh.pop()
-}
-
-func (k *Kernel) qpush(e entry) {
-	if k.onCal {
-		k.qc.push(e)
-		return
-	}
-	k.qh.push(e)
-	if k.kindCfg == QueueAuto && k.qh.size() >= autoCalendarThreshold {
-		k.switchToCalendar()
-	}
-}
-
-// switchToCalendar migrates a QueueAuto kernel to the calendar backend.
-// The heap's backing array is already a valid 4-ary heap, so it moves
-// wholesale into the calendar's overflow; the calendar's first rebuild
-// shapes the window from the real distribution. Entry order is the same
-// (at, seq) total order on both sides, so the switch is invisible in the
-// event sequence.
-func (k *Kernel) switchToCalendar() {
-	if k.qc == nil {
-		k.qc = &calendarQueue{}
-	}
-	k.qc.over.h = append(k.qc.over.h[:0], k.qh.h...)
-	k.qh.reset()
-	k.onCal = true
-}
-
-// activeQueue returns the live backend behind the eventQueue interface,
-// for cold paths and tests.
-func (k *Kernel) activeQueue() eventQueue {
-	if k.onCal {
-		return k.qc
-	}
-	return k.qh
-}
 
 // ---- scheduling ----
 
@@ -402,7 +248,7 @@ func (k *Kernel) At(t Time, fn func()) Handle {
 		ev.inNow = true
 		k.nowq = append(k.nowq, ev)
 	} else {
-		k.qpush(entry{at: t, seq: k.seq, ev: ev})
+		k.q.push(entry{at: t, seq: k.seq, ev: ev})
 	}
 	if k.probe != nil {
 		k.probe.EventScheduled(t, k.Live(), ev.inNow)
@@ -422,8 +268,8 @@ func (k *Kernel) Stop() { k.stopped = true }
 func (k *Kernel) Step() bool {
 	k.drainDead()
 	var ev *event
-	if m := k.qmin(); m != nil && (m.at == k.now || k.qhead == len(k.nowq)) {
-		e := k.qpop()
+	if m := k.q.min(); m != nil && (m.at == k.now || k.qhead == len(k.nowq)) {
+		e := k.q.pop()
 		k.now = e.at
 		ev = e.ev
 	} else if k.qhead < len(k.nowq) {
@@ -474,7 +320,7 @@ func (k *Kernel) peek() (Time, bool) {
 	if k.qhead < len(k.nowq) {
 		return k.now, true
 	}
-	if m := k.qmin(); m != nil {
+	if m := k.q.min(); m != nil {
 		return m.at, true
 	}
 	return 0, false
@@ -507,15 +353,15 @@ func (k *Kernel) recycle(ev *event) {
 
 // ---- queues ----
 
-// drainDead recycles cancelled entries sitting at the front of either
-// queue so Step and peek see a live minimum.
+// drainDead recycles cancelled entries sitting at the front of the heap
+// and the same-time FIFO so Step and peek see a live minimum.
 func (k *Kernel) drainDead() {
 	for k.dead > 0 {
-		m := k.qmin()
+		m := k.q.min()
 		if m == nil || m.ev.fn != nil {
 			break
 		}
-		k.recycle(k.qpop().ev)
+		k.recycle(k.q.pop().ev)
 		k.dead--
 	}
 	for k.qhead < len(k.nowq) && k.nowq[k.qhead].fn == nil {
@@ -536,12 +382,12 @@ func (k *Kernel) popNow() *event {
 	return ev
 }
 
-// compactQueue removes all cancelled entries from the future queue.
+// compactQueue removes all cancelled entries from the heap.
 // Triggered from Cancel once dead entries outnumber live ones.
 func (k *Kernel) compactQueue() {
-	removed := k.activeQueue().compact(k.recycle)
+	removed := k.q.compact(k.recycle)
 	k.dead = 0
 	if k.probe != nil {
-		k.probe.HeapCompacted(k.now, removed, k.qsize())
+		k.probe.HeapCompacted(k.now, removed, k.q.size())
 	}
 }

@@ -449,3 +449,21 @@ func BenchmarkKernelCancelHeavy(b *testing.B) {
 	k.After(0, fn)
 	k.Run()
 }
+
+func TestNextEventAt(t *testing.T) {
+	k := New(1)
+	if _, ok := k.NextEventAt(); ok {
+		t.Fatal("NextEventAt reported an event on an empty kernel")
+	}
+	k.At(5*Millisecond, func() {})
+	at, ok := k.NextEventAt()
+	if !ok || at != 5*Millisecond {
+		t.Fatalf("NextEventAt = %v, %v, want 5ms, true", at, ok)
+	}
+}
+
+func TestTimeSeconds(t *testing.T) {
+	if got := (250 * Millisecond).Seconds(); got != 0.25 {
+		t.Errorf("Seconds() = %v, want 0.25", got)
+	}
+}

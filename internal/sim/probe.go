@@ -28,8 +28,7 @@ type Probe interface {
 	// with the live depth after the cancellation.
 	EventCancelled(now Time, live int)
 	// HeapCompacted is called after cancellation-driven compaction,
-	// with the number of dead entries removed and live entries kept. It
-	// fires on both queue backends; the name is historical.
+	// with the number of dead entries removed and live entries kept.
 	HeapCompacted(now Time, removed, live int)
 }
 

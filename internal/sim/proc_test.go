@@ -368,3 +368,14 @@ func TestProcWorkersSharedAcrossGoroutines(t *testing.T) {
 		}
 	}
 }
+
+func TestProcID(t *testing.T) {
+	k := New(1)
+	var a, b int
+	k.Go(func(p *Proc) { a = p.ID() })
+	k.Go(func(p *Proc) { b = p.ID() })
+	k.Run()
+	if a == b {
+		t.Fatalf("two procs share ID %d", a)
+	}
+}

@@ -1,48 +1,16 @@
 package sim
 
-// eventQueue is the kernel's store of future events, keyed by (at, seq).
-// Two backends implement it: heapQueue (a 4-ary min-heap, the default) and
-// calendarQueue (a bucketed calendar over a sliding time window, for dense
-// schedules). Both order entries by exactly the same (at, seq) comparator,
-// so a kernel produces bit-identical event sequences on either backend —
-// the differential fuzz harness in fuzz_test.go holds them to that.
-//
-// The kernel dispatches on concrete types for the hot path (push/pop/min
-// stay inlineable); the interface exists for the cold paths (compaction,
-// reset) and for tests that drive both backends symmetrically.
-type eventQueue interface {
-	// push inserts e. Entries may arrive in any time order (>= the
-	// kernel's now).
-	push(e entry)
-	// pop removes and returns the minimum entry by (at, seq). Only valid
-	// when size() > 0.
-	pop() entry
-	// min points at the current minimum entry, or nil when empty. The
-	// pointer is valid only until the next mutation.
-	min() *entry
-	// size reports resident entries, including lazily-cancelled ones.
-	size() int
-	// compact removes entries whose event was cancelled (fn == nil),
-	// passing each dropped payload to drop, and reports how many were
-	// removed.
-	compact(drop func(*event)) int
-	// reset empties the queue, retaining capacity for reuse.
-	reset()
-	// kind names the backend.
-	kind() QueueKind
-}
-
-// heapQueue is the classic backend: a hand-rolled 4-ary min-heap
-// (shallower than a binary heap, and sibling keys share cache lines),
-// sifted with moves instead of swaps.
+// heapQueue is the kernel's store of future events: a hand-rolled 4-ary
+// min-heap keyed by (at, seq) (shallower than a binary heap, and sibling
+// keys share cache lines), sifted with moves instead of swaps.
 type heapQueue struct {
 	h []entry
 }
 
 func (q *heapQueue) size() int { return len(q.h) }
 
-func (q *heapQueue) kind() QueueKind { return QueueHeap }
-
+// min points at the minimum entry, or nil when empty. The pointer is
+// valid only until the next mutation.
 func (q *heapQueue) min() *entry {
 	if len(q.h) == 0 {
 		return nil
@@ -66,7 +34,7 @@ func (q *heapQueue) push(e entry) {
 	h[i] = e
 }
 
-// pop removes and returns the minimum entry.
+// pop removes and returns the minimum entry. Only valid when size() > 0.
 func (q *heapQueue) pop() entry {
 	h := q.h
 	top := h[0]

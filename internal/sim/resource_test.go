@@ -198,3 +198,25 @@ func TestQueueMultipleConsumersFIFO(t *testing.T) {
 		t.Fatalf("first consumer's first item = %d, want 0", by[0][0])
 	}
 }
+
+func TestResourceAccessors(t *testing.T) {
+	k := New(1)
+	r := NewResource(k, 3)
+	if got := r.Capacity(); got != 3 {
+		t.Errorf("Capacity() = %d, want 3", got)
+	}
+	q := NewQueue[int](k)
+	if got := q.Len(); got != 0 {
+		t.Errorf("empty Queue Len() = %d", got)
+	}
+	q.Put(42)
+	if got := q.Len(); got != 1 {
+		t.Errorf("Queue Len() = %d after Put, want 1", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewResource with capacity 0 did not panic")
+		}
+	}()
+	NewResource(k, 0)
+}
